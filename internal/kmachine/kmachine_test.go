@@ -5,8 +5,10 @@ import (
 
 	"ncc/internal/comm"
 	"ncc/internal/core"
+	"ncc/internal/faultmodel"
 	"ncc/internal/graph"
 	"ncc/internal/ncc"
+	"ncc/internal/param"
 	"ncc/internal/verify"
 )
 
@@ -94,5 +96,76 @@ func TestPartitionBalance(t *testing.T) {
 	}
 	if res.MaxMachineNodes < 100/2 || res.MaxMachineNodes > 2*100 {
 		t.Errorf("random partition badly unbalanced: max machine holds %d of 1000", res.MaxMachineNodes)
+	}
+}
+
+// TestPinnedResults pins exact Results across engine changes: the accounting
+// must see the same messages at the same point of the round (after the send
+// cap and fault drops, before receive truncation) for every figure to match.
+// The faulted case drops messages through a FaultPlan, so it also pins that
+// fault drops are excluded from the machine links.
+func TestPinnedResults(t *testing.T) {
+	grid := graph.Grid(6, 6)
+	bfs := func(ctx *ncc.Context) {
+		s := comm.NewSession(ctx)
+		o := core.Orient(s, grid, core.OrientParams{})
+		trees, lhat := core.BroadcastTrees(s, grid, o)
+		core.BFS(s, grid, trees, lhat, 0)
+	}
+	plan, err := faultmodel.Build([]faultmodel.Spec{
+		{Model: "iid-drop", Params: param.Values{"p": 0.01}},
+		{Model: "link-cut", Params: param.Values{"fromround": 40}, From: []int{35}},
+	}, faultmodel.Env{G: grid, N: grid.N(), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		k    int
+		cfg  ncc.Config
+		want Result
+	}{
+		{"bfs k=2", 2, ncc.Config{N: grid.N(), Seed: 5, Strict: true},
+			Result{K: 2, BandwidthWords: 4, NCCRounds: 1199, KRounds: 2213, CrossMessages: 6399, IntraMessages: 5194, MaxMachineNodes: 18, MaxLinkWords: 170}},
+		{"bfs k=8", 8, ncc.Config{N: grid.N(), Seed: 5, Strict: true},
+			Result{K: 8, BandwidthWords: 4, NCCRounds: 1199, KRounds: 1400, CrossMessages: 10321, IntraMessages: 1272, MaxMachineNodes: 8, MaxLinkWords: 40}},
+		{"bfs faulted k=4", 4, ncc.Config{N: grid.N(), Seed: 5, MaxRounds: 20000, FaultPlan: plan, DropProb: plan.DropProb, Interceptor: plan.Interceptor},
+			Result{K: 4, BandwidthWords: 4, NCCRounds: 8406, KRounds: 8426, CrossMessages: 476, IntraMessages: 172, MaxMachineNodes: 13, MaxLinkWords: 10}},
+	}
+	for _, c := range cases {
+		res, _, err := Simulate(c.k, 4, c.cfg, bfs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res != c.want {
+			t.Errorf("%s: got %#v\nwant %#v", c.name, res, c.want)
+		}
+	}
+}
+
+// TestPinnedExample pins the figures examples/kmachine prints for its default
+// 96-node MST at the smallest and largest machine counts.
+func TestPinnedExample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 96-node MST runs")
+	}
+	g, err := graph.Build(graph.Spec{Family: "kforest", Params: param.Values{"n": 96, "k": 2}, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg := graph.RandomWeights(g, 500, 18)
+	program := func(ctx *ncc.Context) { core.MST(comm.NewSession(ctx), wg) }
+	for _, c := range []struct {
+		k       int
+		kRounds int64
+		cross   int64
+	}{{2, 283866, 717240}, {16, 85728, 1336950}} {
+		res, _, err := Simulate(c.k, 4, ncc.Config{N: g.N(), Seed: 21, Strict: true}, program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.KRounds != c.kRounds || res.CrossMessages != c.cross {
+			t.Errorf("k=%d: KRounds/cross = %d/%d, want %d/%d", c.k, res.KRounds, res.CrossMessages, c.kRounds, c.cross)
+		}
 	}
 }

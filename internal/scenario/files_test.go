@@ -1,23 +1,36 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"ncc/internal/obs"
 )
+
+var update = flag.Bool("update", false, "rewrite the shipped-scenario goldens under testdata/")
 
 // TestShippedScenarioFiles pins that every example under scenarios/ parses
 // strictly, validates against the registries, and runs at its (small) size:
 // one record per expanded run. Fault-free runs must verify; fault-injection
 // demos must degrade instead of failing — every record carries a degradation
 // report whose survivor verdict is clean (that is the robustness contract the
-// demos exist to show).
+// demos exist to show). Each file's marshaled Records and canonical trace hash
+// must also match its golden under testdata/, so any engine change that moves
+// a single counter, fault decision, or k-machine figure fails here (rewrite
+// the goldens with go test -run TestShippedScenarioFiles -update only for an
+// intended behaviour change).
 func TestShippedScenarioFiles(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 8 {
-		t.Fatalf("found only %d scenario files, want the 8 shipped examples", len(files))
+	if len(files) < 9 {
+		t.Fatalf("found only %d scenario files, want the 9 shipped examples", len(files))
 	}
 	for _, path := range files {
 		path := path
@@ -38,11 +51,19 @@ func TestShippedScenarioFiles(t *testing.T) {
 				t.Fatalf("example graph size %d is not small; keep shipped scenarios fast", n)
 			}
 			faulty := len(s.Faults.specs()) > 0
-			recs := Run(s)
-			if len(recs) != len(expanded) {
-				t.Fatalf("Run produced %d records for %d expansions", len(recs), len(expanded))
-			}
-			for i, rec := range recs {
+			col := &obs.Collector{}
+			var golden bytes.Buffer
+			for i, c := range expanded {
+				rec, err := RunTraced(c, col, RunOpts{})
+				if err != nil {
+					rec.Error = err.Error()
+				}
+				line, err := json.Marshal(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				golden.Write(line)
+				golden.WriteByte('\n')
 				if rec.Error != "" {
 					t.Errorf("run %d failed: %s", i, rec.Error)
 					continue
@@ -61,7 +82,35 @@ func TestShippedScenarioFiles(t *testing.T) {
 					t.Errorf("run %d: survivors inconsistent: %s", i, rec.Degradation.Detail)
 				}
 			}
+			golden.WriteString("trace " + col.Hash() + "\n")
+			checkGolden(t, strings.TrimSuffix(filepath.Base(path), ".json")+".golden", golden.Bytes())
 		})
+	}
+}
+
+// checkGolden compares got against testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (create it with -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s line %d differs:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
 	}
 }
 
