@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"ncc/internal/bench"
-	"ncc/internal/ncc"
 )
 
 func main() {
@@ -106,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// records allocation and throughput trends, not just ns/op.
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, words0 := ncc.TrafficTotals()
+		words0 := bench.WordsMoved()
 		start := time.Now()
 		var err error
 		// Label the experiment's CPU samples so a -cpuprofile over -exp all
@@ -115,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			err = e.Run(r, *quick)
 		})
 		elapsed := time.Since(start)
-		_, words1 := ncc.TrafficTotals()
+		words1 := bench.WordsMoved()
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			fmt.Fprintf(stderr, "experiment %s failed: %v\n", e.Name, err)

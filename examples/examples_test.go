@@ -46,9 +46,15 @@ func TestHybridExample(t *testing.T) {
 	}
 }
 
+// TestKMachineExample runs the example at its default 96-node size and pins
+// the k-machine figures it prints for the smallest and largest machine counts.
 func TestKMachineExample(t *testing.T) {
-	out := runExample(t, "kmachine", "-n", "20")
-	for _, want := range []string{"k-machine simulation", "k= 2:", "verified against Kruskal"} {
+	out := runExample(t, "kmachine")
+	for _, want := range []string{
+		"k-machine simulation", "verified against Kruskal",
+		"k= 2:   283866 machine rounds", "cross-traffic 717240 msgs",
+		"k=16:    85728 machine rounds", "cross-traffic 1336950 msgs",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

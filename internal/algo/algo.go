@@ -107,7 +107,7 @@ type Result struct {
 // reliable network) return an error; verification failures only clear
 // Result.Verified.
 //
-// Under fault injection (a FaultPlan, DropProb, or Interceptor in cfg) the
+// Under fault injection (a FaultPlan in cfg) the
 // contract shifts from fail-hard to degrade: a round-limit abort is treated
 // as a partial completion, a run with unfinished nodes skips the full
 // verifier and summarizer (dead nodes' outputs are zero values the hooks
@@ -126,7 +126,7 @@ func Run[T any](a Algorithm[T], cfg ncc.Config, g *graph.Graph, p param.Values) 
 			return nil, nil, fmt.Errorf("algorithm %s: %w", a.Name, err)
 		}
 	}
-	faulty := cfg.FaultPlan != nil || cfg.DropProb > 0 || cfg.Interceptor != nil
+	faulty := cfg.FaultPlan != nil
 	outs, st, err := ncc.Collect(cfg, func(ctx *ncc.Context) T {
 		return a.Node(comm.NewSession(ctx), in)
 	})

@@ -130,7 +130,7 @@ func (r *Reporter) Table(t *Table) {
 
 // Perf reports one simulator-performance record for the experiment that just
 // ran: wall time, heap allocations, and payload throughput (MB/s of uint64
-// payload words moved through the engine, metered via ncc.TrafficTotals).
+// payload words moved through the engine, metered via WordsMoved).
 // "Op" is one full experiment run, so successive BENCH_*.json snapshots can
 // track allocation and throughput trends of the primitive layer, not just
 // the model-level rounds/messages tables. In text mode it prints as a

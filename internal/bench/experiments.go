@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"ncc/internal/algo"
 	"ncc/internal/baseline"
@@ -19,10 +20,21 @@ import (
 
 func logn(n int) float64 { return math.Log2(float64(max(n, 2))) }
 
-// cfg builds the standard strict run configuration.
+// cfg builds the standard strict run configuration. Its probe meters the
+// payload words the run moves (see WordsMoved).
 func cfg(n int, seed int64) ncc.Config {
-	return ncc.Config{N: n, Seed: seed, Strict: true, Workers: Workers}
+	return ncc.Config{N: n, Seed: seed, Strict: true, Workers: Workers, Probe: meterWords}
 }
+
+// wordsMoved totals the payload words accepted by every experiment run.
+var wordsMoved atomic.Int64
+
+func meterWords(s ncc.RoundSample, _ []ncc.ShardTiming) { wordsMoved.Add(int64(s.Words)) }
+
+// WordsMoved returns the cumulative payload words accepted for transmission
+// by every experiment run in this process; subtract two snapshots to meter
+// one experiment's throughput.
+func WordsMoved() int64 { return wordsMoved.Load() }
 
 // mustGraph resolves a graph family through the registry; the experiments'
 // specs are compile-time constants, so a rejection is a programming error.

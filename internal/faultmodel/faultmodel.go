@@ -1,10 +1,10 @@
 // Package faultmodel is the fault-model registry: it compiles declarative
 // fault specifications (model name + parameter bag, as written in scenario
 // JSON) into deterministic, seeded Schedules the ncc engine executes. A
-// Schedule bundles the three fault surfaces the engine exposes — an i.i.d.
-// message-drop probability, a link interceptor, and a node-liveness FaultPlan
-// — so one scenario block can combine stochastic loss, targeted link cuts,
-// and node crash/churn schedules.
+// Schedule is the engine's one fault hook, ncc.FaultPlan, and covers both of
+// its surfaces — per-message drops (an i.i.d. loss probability and targeted
+// link cuts) and node-liveness transitions — so one scenario block can
+// combine stochastic loss, link cuts, and node crash/churn schedules.
 //
 // Every random decision a model makes is drawn from a PCG seeded by the run
 // seed, the model name, and the spec's position, never from global state:
@@ -66,14 +66,25 @@ type Event struct {
 	Up    []ncc.Revival
 }
 
-// Schedule is a compiled, merged fault schedule. It implements ncc.FaultPlan;
-// DropProb and Interceptor are handed to the matching ncc.Config fields by
-// the caller. The zero Schedule is a valid "no faults" plan (attaching it
-// still switches the engine to failure-isolation mode).
+// Schedule is a compiled, merged fault schedule; it implements ncc.FaultPlan.
+// The zero Schedule is a valid "no faults" plan (attaching it still switches
+// the engine to failure-isolation mode).
 type Schedule struct {
-	DropProb    float64
-	Interceptor ncc.Interceptor
-	events      []Event // sorted by Round, one entry per distinct round
+	dropProb float64                                   // i.i.d. per-message loss
+	keep     func(round int, from, to ncc.NodeID) bool // link cuts; false drops
+	events   []Event                                   // sorted by Round, one entry per distinct round
+}
+
+// DropMessage implements ncc.FaultPlan: the i.i.d. loss turns the engine's
+// coin into a uniform [0,1) draw (its top 53 bits) compared against the drop
+// probability, and a message that survives it is dropped if a link cut
+// covers it. It only reads the immutable schedule, so the engine's shard
+// workers may call it concurrently.
+func (s *Schedule) DropMessage(round int, from, to ncc.NodeID, coin uint64) bool {
+	if s.dropProb > 0 && float64(coin>>11)*0x1.0p-53 < s.dropProb {
+		return true
+	}
+	return s.keep != nil && !s.keep(round, from, to)
 }
 
 // Transitions implements ncc.FaultPlan by binary search over the sorted
@@ -107,9 +118,9 @@ func (s *Schedule) normalize() {
 	s.events = out
 }
 
-// merge folds b into a: drop probabilities compose as independent losses,
-// interceptors conjoin (a message survives only if every interceptor keeps
-// it), and event lists concatenate then normalize.
+// merge folds b into a: drop probabilities compose as independent losses
+// (still one coin per message), link cuts conjoin (a message survives only if
+// every cut keeps it), and event lists concatenate then normalize.
 func merge(a, b *Schedule) *Schedule {
 	if a == nil {
 		return b
@@ -117,23 +128,17 @@ func merge(a, b *Schedule) *Schedule {
 	if b == nil {
 		return a
 	}
-	a.DropProb = 1 - (1-a.DropProb)*(1-b.DropProb)
-	a.Interceptor = chainInterceptors(a.Interceptor, b.Interceptor)
+	a.dropProb = 1 - (1-a.dropProb)*(1-b.dropProb)
+	if ak, bk := a.keep, b.keep; ak == nil {
+		a.keep = bk
+	} else if bk != nil {
+		a.keep = func(round int, from, to ncc.NodeID) bool {
+			return ak(round, from, to) && bk(round, from, to)
+		}
+	}
 	a.events = append(a.events, b.events...)
 	a.normalize()
 	return a
-}
-
-func chainInterceptors(a, b ncc.Interceptor) ncc.Interceptor {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(round int, from, to ncc.NodeID) bool {
-		return a(round, from, to) && b(round, from, to)
-	}
 }
 
 var registry = map[string]Model{}

@@ -34,7 +34,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(a.Events(), b.Events()) || a.DropProb != b.DropProb {
+		if !reflect.DeepEqual(a.Events(), b.Events()) || a.dropProb != b.dropProb {
 			t.Errorf("%s: same seed compiled different schedules", name)
 		}
 	}
@@ -60,13 +60,12 @@ func TestIIDDropAndLinkCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.DropProb != 0.25 {
-		t.Errorf("dropProb = %v, want 0.25", s.DropProb)
+	if s.dropProb != 0.25 {
+		t.Errorf("dropProb = %v, want 0.25", s.dropProb)
 	}
-	ic := s.Interceptor
-	if ic == nil {
-		t.Fatal("link-cut compiled no interceptor")
-	}
+	// An all-ones coin (draw ~1) always survives the 0.25 loss and a zero
+	// coin never does, so the first exercises the link cut alone.
+	const keepCoin, dropCoin = ^uint64(0), 0
 	for _, c := range []struct {
 		round, from, to int
 		keep            bool
@@ -76,8 +75,11 @@ func TestIIDDropAndLinkCut(t *testing.T) {
 		{10, 5, 0, false}, // out of the from-set
 		{10, 0, 1, true},  // unrelated link
 	} {
-		if got := ic(c.round, c.from, c.to); got != c.keep {
-			t.Errorf("interceptor(%d, %d, %d) = %v, want %v", c.round, c.from, c.to, got, c.keep)
+		if got := s.DropMessage(c.round, c.from, c.to, keepCoin); got == c.keep {
+			t.Errorf("DropMessage(%d, %d, %d) = %v, want %v", c.round, c.from, c.to, got, !c.keep)
+		}
+		if !s.DropMessage(c.round, c.from, c.to, dropCoin) {
+			t.Errorf("DropMessage(%d, %d, %d) kept a message whose coin is below the loss threshold", c.round, c.from, c.to)
 		}
 	}
 	if len(s.Events()) != 0 {

@@ -26,7 +26,7 @@ func init() {
 			if prob < 0 || prob > 1 {
 				return nil, fmt.Errorf("p = %v out of [0,1]", prob)
 			}
-			return &Schedule{DropProb: prob}, nil
+			return &Schedule{dropProb: prob}, nil
 		},
 	})
 
@@ -53,7 +53,7 @@ func init() {
 			for _, v := range sp.From {
 				from[v] = true
 			}
-			return &Schedule{Interceptor: func(round int, src, dst ncc.NodeID) bool {
+			return &Schedule{keep: func(round int, src, dst ncc.NodeID) bool {
 				if round < start {
 					return true
 				}

@@ -5,6 +5,11 @@
 // carries a bounded number of words per k-machine round (store-and-forward,
 // direct routing). Corollary 2 predicts that a T-round NCC algorithm costs
 // about n*T/k^2 k-machine rounds (up to polylog factors).
+//
+// The accounting rides on the engine's telemetry plane: the partition goes
+// into ncc.Config.MachineOf, the engine meters each round's machine-link
+// loads, and an Accountant probe turns the per-round figures into k-machine
+// rounds. The run itself is untouched.
 package kmachine
 
 import (
@@ -41,22 +46,21 @@ func (r Result) String() string {
 		r.K, r.NCCRounds, r.KRounds, r.CrossMessages, r.IntraMessages)
 }
 
-// Accountant is an ncc.Observer that accounts a run's communication in the
-// k-machine model without owning the run itself: attach it to any engine
-// execution (kmachine.Simulate, or a scenario run via the scenario package's
-// kmachine block) and read the accumulated Result afterwards. The random
-// vertex partition is fixed at construction from the seed, so the same
-// (k, n, seed) triple always produces the same machine assignment.
+// Accountant accounts a run's communication in the k-machine model without
+// owning the run itself: Attach it to any engine configuration
+// (kmachine.Simulate, or a scenario run via the scenario package's kmachine
+// block) and read the accumulated Result afterwards. The random vertex
+// partition is fixed at construction from the seed, so the same (k, n, seed)
+// triple always produces the same machine assignment.
 type Accountant struct {
 	machineOf []int
 	bw        int
 	res       Result
-	loads     map[[2]int]int
 }
 
-// NewAccountant builds the k-machine accounting observer for an n-node clique
-// with the given per-link bandwidth (words per k-machine round). The vertex
-// partition derives deterministically from seed.
+// NewAccountant builds the k-machine accountant for an n-node clique with the
+// given per-link bandwidth (words per k-machine round). The vertex partition
+// derives deterministically from seed.
 func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kmachine: k = %d, need >= 1", k)
@@ -65,9 +69,8 @@ func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
 		return nil, fmt.Errorf("kmachine: bandwidth = %d words, need >= 1", bandwidthWords)
 	}
 	a := &Accountant{
-		bw:    bandwidthWords,
-		res:   Result{K: k, BandwidthWords: bandwidthWords},
-		loads: map[[2]int]int{},
+		bw:  bandwidthWords,
+		res: Result{K: k, BandwidthWords: bandwidthWords},
 	}
 	rng := rand.New(rand.NewPCG(uint64(seed), 0x6b6d616368696e65))
 	a.machineOf = make([]int, n)
@@ -84,50 +87,39 @@ func NewAccountant(k, bandwidthWords, n int, seed int64) (*Accountant, error) {
 	return a, nil
 }
 
-// ObserveRound implements ncc.Observer: it routes the round's clique messages
-// over the machine-level complete network and charges the k-machine rounds.
-func (a *Accountant) ObserveRound(round int, msgs []ncc.Envelope) {
-	clear(a.loads)
-	for i := range msgs {
-		e := &msgs[i]
-		p, q := a.machineOf[e.From], a.machineOf[e.To]
-		if p == q {
-			a.res.IntraMessages++
-			continue
-		}
-		a.res.CrossMessages++
-		a.loads[[2]int{p, q}] += e.Words() // width cached at Send time
-	}
-	// Direct store-and-forward routing: the round's cost is the most loaded
-	// link's transfer time (at least one k-machine round per NCC round, for
-	// the synchronous barrier).
-	worst := 0
-	for _, w := range a.loads {
-		if w > worst {
-			worst = w
-		}
-	}
-	if worst > a.res.MaxLinkWords {
-		a.res.MaxLinkWords = worst
-	}
-	a.res.KRounds += int64(max(1, (worst+a.bw-1)/a.bw))
+// Attach installs the accountant on cfg: the machine partition, and its
+// Sample probe chained before any probe cfg already carries.
+func (a *Accountant) Attach(cfg *ncc.Config) {
+	cfg.MachineOf = a.machineOf
+	cfg.Probe = ncc.RoundProbe(a.Sample).Then(cfg.Probe)
+}
+
+// Sample is the accountant's ncc.RoundProbe: it charges the round's clique
+// messages routed over the machine-level complete network. Under direct
+// store-and-forward routing the round costs the most loaded link's transfer
+// time, and at least one k-machine round for the synchronous barrier.
+func (a *Accountant) Sample(s ncc.RoundSample, _ []ncc.ShardTiming) {
+	a.res.CrossMessages += int64(s.CrossMachine)
+	a.res.IntraMessages += int64(s.Messages - s.CrossMachine)
+	a.res.MaxLinkWords = max(a.res.MaxLinkWords, s.MaxLinkWords)
+	a.res.KRounds += int64(max(1, (s.MaxLinkWords+a.bw-1)/a.bw))
 }
 
 // Result returns the accumulated accounting. NCCRounds is left zero — the
 // run's owner fills it from the engine's Stats, which count rounds
-// authoritatively (the observer only sees rounds the engine completed).
+// authoritatively (the probe only sees rounds the engine completed).
 func (a *Accountant) Result() Result { return a.res }
 
 // Simulate runs program on an NCC clique configured by cfg while accounting
 // its communication in the k-machine model with the given per-link bandwidth
 // (in words per round). The random vertex partition is derived from
-// cfg.Seed. Any Observer already present in cfg is replaced.
+// cfg.Seed; a Probe already present in cfg keeps receiving every sample.
 func Simulate(k, bandwidthWords int, cfg ncc.Config, program func(*ncc.Context)) (Result, ncc.Stats, error) {
 	a, err := NewAccountant(k, bandwidthWords, cfg.N, cfg.Seed)
 	if err != nil {
 		return Result{}, ncc.Stats{}, err
 	}
-	cfg.Observer = a
+	a.Attach(&cfg)
 	st, err := ncc.Run(cfg, program)
 	res := a.Result()
 	res.NCCRounds = st.Rounds

@@ -19,17 +19,6 @@ type Payload interface {
 	Words() int
 }
 
-// Observer is notified once per round with every message accepted for
-// transmission that round (after send-capacity enforcement, before
-// receive-capacity truncation). The slice must not be retained.
-type Observer interface {
-	ObserveRound(round int, msgs []Envelope)
-}
-
-// Interceptor decides the fate of a single transmitted message; returning
-// false drops it. It models targeted link faults for failure-injection tests.
-type Interceptor func(round int, from, to NodeID) bool
-
 // Outage takes one node out of service at a round boundary. A plain outage
 // suspends the node: its program keeps executing, but every message it sends
 // or is sent is suppressed until a Revival returns it to service (the node is
@@ -51,16 +40,28 @@ type Revival struct {
 	Reset bool
 }
 
-// FaultPlan schedules node-liveness transitions. The coordinator calls
-// Transitions exactly once per round r = 0, 1, 2, ... while every node is
-// parked at the round barrier, and applies the returned outages and revivals
-// before the round's messages move. Implementations must be pure functions of
-// the plan and the round — never of goroutine scheduling — to preserve the
-// engine's bit-for-bit determinism; they run on the coordinator goroutine
-// only. Transitions naming finished, already-down (for outages), or in-service
-// (for revivals) nodes are ignored.
+// FaultPlan is the run's fault schedule: node-liveness transitions and
+// per-message drops. Implementations must be pure functions of the plan and
+// their arguments — never of goroutine scheduling — to preserve the engine's
+// bit-for-bit determinism.
+//
+// The coordinator calls Transitions exactly once per round r = 0, 1, 2, ...
+// while every node is parked at the round barrier, and applies the returned
+// outages and revivals before the round's messages move. Transitions naming
+// finished, already-down (for outages), or in-service (for revivals) nodes
+// are ignored.
+//
+// DropMessage decides the fate of one message from an in-service sender to a
+// live, in-service receiver that survived the send cap; returning true drops
+// it (counted in Stats.DroppedFault). coin is a uniform 64-bit draw from the
+// engine's per-(round, sender) stream, taken for every such message in send
+// order, so a plan turns it into an i.i.d. loss decision without carrying
+// randomness of its own. DropMessage runs concurrently on the delivery shard
+// workers and must be safe for concurrent use; a panic inside it aborts the
+// run.
 type FaultPlan interface {
 	Transitions(round int) (down []Outage, up []Revival)
+	DropMessage(round int, from, to NodeID, coin uint64) bool
 }
 
 // Config parameterizes a simulation run.
@@ -91,33 +92,27 @@ type Config struct {
 	// DefaultMaxRounds.
 	MaxRounds int
 
-	// DropProb drops each transmitted message independently with this
-	// probability (fault injection). Zero means a reliable network, which
-	// is what the model specifies below the capacity bound.
-	DropProb float64
-
-	// Interceptor, if non-nil, can drop individual messages. With Workers >
-	// 1 it is called from multiple goroutines concurrently and must be safe
-	// for concurrent use (pure functions trivially are).
-	Interceptor Interceptor
-
-	// FaultPlan, if non-nil, schedules node crashes, outages, and revivals
-	// (see the FaultPlan docs for timing and determinism requirements). A
-	// non-nil plan also switches the engine to failure-isolation mode: a
+	// FaultPlan, if non-nil, schedules node crashes, outages, revivals, and
+	// message drops (see the FaultPlan docs for timing and determinism
+	// requirements). A non-nil plan also switches the engine to failure-isolation mode: a
 	// panicking node program is retired as a crashed node (counted in
 	// Stats.NodeFailures) instead of aborting the run, and Stats reports the
 	// unfinished and down node sets at the end of the run.
 	FaultPlan FaultPlan
-
-	// Observer, if non-nil, sees every round's transmitted messages. It is
-	// always called from a single goroutine, regardless of Workers.
-	Observer Observer
 
 	// Probe, if non-nil, receives one RoundSample per completed round — the
 	// engine's telemetry plane (see RoundProbe). It is called on the
 	// coordinator goroutine between rounds. When nil, the engine performs no
 	// probe work at all: the plane is zero-overhead when off.
 	Probe RoundProbe
+
+	// MachineOf, if non-nil, partitions the nodes over the machines of the
+	// k-machine model (Appendix A): MachineOf[id] is node id's machine. The
+	// engine then meters each round's accepted traffic per directed machine
+	// link — after the send cap and fault drops, before receive truncation —
+	// and reports it through RoundSample.CrossMachine and MaxLinkWords. It is
+	// read only when Probe is set; len(MachineOf) must equal N.
+	MachineOf []int
 
 	// Workers is the number of goroutines the coordinator uses to filter,
 	// group, and deliver each round's traffic. 0 (the default) means
@@ -179,8 +174,8 @@ func (c Config) validate() error {
 	if c.CapFactor < 1 {
 		return fmt.Errorf("ncc: config CapFactor = %d, need >= 1", c.CapFactor)
 	}
-	if c.DropProb < 0 || c.DropProb > 1 {
-		return fmt.Errorf("ncc: config DropProb = %v out of [0,1]", c.DropProb)
+	if c.MaxRounds < 0 {
+		return fmt.Errorf("ncc: config MaxRounds = %d, need >= 0", c.MaxRounds)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("ncc: config Workers = %d, need >= 0", c.Workers)
@@ -197,6 +192,9 @@ func (c Config) validate() error {
 				return fmt.Errorf("ncc: config NodeCaps[%d] = %d, need >= 1", id, cp)
 			}
 		}
+	}
+	if c.MachineOf != nil && len(c.MachineOf) != c.N {
+		return fmt.Errorf("ncc: config MachineOf has %d entries for N = %d", len(c.MachineOf), c.N)
 	}
 	return nil
 }

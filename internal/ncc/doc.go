@@ -28,23 +28,31 @@
 // and release is a generation-counted atomic bump plus a per-shard condvar
 // broadcast — no per-round channel allocation and no serialized submit
 // funnel. The steady-state message path allocates nothing: Word and Words2
-// payloads travel inline inside Envelope/Received (use SendWord/SendWords2
+// payloads travel inline inside the engine's envelopes and Received (use SendWord/SendWords2
 // and AsWord/AsWords2 to stay off the heap entirely), larger payloads keep
 // the Payload interface with Words() cached at Send time, and outboxes,
 // buckets and inboxes are sized from observed traffic and reused across
 // rounds. TestSteadyStateAllocs pins ~0 allocs/message; BenchmarkEngineScale
 // tracks 64k/256k/1M-node throughput against BENCH_baseline.json in CI.
 //
-// Node liveness is a separate plane from message faults. Setting
-// Config.FaultPlan attaches a schedule of per-round Outage/Revival
-// transitions: a down node sends and receives nothing (its traffic is
-// silently dropped at the round barrier), a killed node never returns, and
-// a revival brings the node back — optionally with its program restarted
-// from scratch. Attaching any plan (even an empty one) also switches the
-// engine into failure-isolation mode: a node goroutine that panics is
-// counted in Stats.NodeFailures instead of crashing the run, and Stats
-// reports Unfinished/DownAtEnd so callers can distinguish "completed" from
-// "survived". Liveness decisions come only from the plan — which the
-// faultmodel package derives deterministically from the run seed — so
-// faulted runs remain bit-for-bit reproducible across worker counts.
+// Faults enter through one hook, Config.FaultPlan. Its Transitions method
+// schedules per-round Outage/Revival transitions: a down node sends and
+// receives nothing (its traffic is silently dropped at the round barrier), a
+// killed node never returns, and a revival brings the node back — optionally
+// with its program restarted from scratch. Its DropMessage method decides the
+// fate of each message that survives the capacity and liveness filters, from
+// a coin the engine draws per message out of a per-(round, sender) stream.
+// Attaching any plan (even an empty one) also switches the engine into
+// failure-isolation mode: a node goroutine that panics is counted in
+// Stats.NodeFailures instead of crashing the run, and Stats reports
+// Unfinished/DownAtEnd so callers can distinguish "completed" from
+// "survived". Fault decisions come only from the plan — which the faultmodel
+// package derives deterministically from the run seed — and the engine's
+// seeded coins, so faulted runs remain bit-for-bit reproducible across
+// worker counts.
+//
+// The k-machine model of Appendix A is accounting on top of the same rounds:
+// with Config.MachineOf partitioning the nodes over machines and a Probe
+// attached, each RoundSample also reports the round's cross-machine messages
+// and heaviest machine link (see internal/kmachine).
 package ncc

@@ -16,17 +16,16 @@ const (
 	kindWords                     // 3+ words; a = offset into the sender's word arena
 )
 
-// Envelope is a message in transit. Word and Words2 payloads are stored
+// envelope is a message in transit. Word and Words2 payloads are stored
 // inline (no heap boxing); multi-word (3+) payloads sent through SendWords
 // are represented by an offset into the sending node's word arena — the
 // struct stays pointer-light and small, which matters because every message
 // is copied through outbox and bucket slices each round. The engine resolves
-// the offset against the sender's arena during delivery and hands observers
-// boxed copies, so a kindWords Envelope never escapes the engine. Larger
-// boxed payloads keep their interface with the Words() result cached at Send
-// time, so the width is computed exactly once per message no matter how many
-// engine phases or observers read it.
-type Envelope struct {
+// the offset against the sender's arena during delivery; envelopes never
+// leave the engine. Larger boxed payloads keep their interface with the
+// Words() result cached at Send time, so the width is computed exactly once
+// per message no matter how many engine phases read it.
+type envelope struct {
 	From NodeID
 	To   NodeID
 	a, b uint64
@@ -36,29 +35,13 @@ type Envelope struct {
 	width int32
 }
 
-// envelopeBytes is the in-memory size of one Envelope, used by the engine's
+// envelopeBytes is the in-memory size of one envelope, used by the engine's
 // provisioning heuristics.
-const envelopeBytes = int(unsafe.Sizeof(Envelope{}))
-
-// MakeEnvelope builds an Envelope as Context.Send would: Word and Words2
-// payloads are inlined, anything else — including WordsN, whose zero-copy
-// arena representation exists only relative to a sending Context — is boxed
-// with its width cached. It is the constructor for tests and Observer
-// tooling; the engine applies MaxWords validation on top of it.
-func MakeEnvelope(from, to NodeID, p Payload) Envelope {
-	switch v := p.(type) {
-	case Word:
-		return Envelope{From: from, To: to, a: uint64(v), kind: kindWord}
-	case Words2:
-		return Envelope{From: from, To: to, a: v[0], b: v[1], kind: kindWords2}
-	default:
-		return Envelope{From: from, To: to, boxed: p, kind: kindBoxed, width: int32(p.Words())}
-	}
-}
+const envelopeBytes = int(unsafe.Sizeof(envelope{}))
 
 // Words reports the payload width in machine words, from the cached value —
 // never by re-invoking Payload.Words on the delivery path.
-func (e *Envelope) Words() int {
+func (e *envelope) Words() int {
 	switch e.kind {
 	case kindWord:
 		return 1
@@ -69,45 +52,8 @@ func (e *Envelope) Words() int {
 	}
 }
 
-// Payload materializes the message content. Inline payloads are re-boxed on
-// demand (the assertion `e.Payload().(T)` keeps working for every payload
-// type); on allocation-sensitive paths prefer AsWord/AsWords2.
-func (e *Envelope) Payload() Payload {
-	switch e.kind {
-	case kindWord:
-		return Word(e.a)
-	case kindWords2:
-		return Words2{e.a, e.b}
-	case kindWords:
-		// The words live in the sending node's arena, which only the
-		// engine can resolve; it boxes such envelopes before they reach
-		// observers (see sendPhase), so this is unreachable from user code.
-		panic("ncc: multi-word payload is engine-internal; observers receive boxed copies")
-	default:
-		return e.boxed
-	}
-}
-
-// AsWord returns the payload as a Word without boxing, and whether the
-// message carried exactly a Word.
-func (e *Envelope) AsWord() (Word, bool) {
-	if e.kind == kindWord {
-		return Word(e.a), true
-	}
-	return 0, false
-}
-
-// AsWords2 returns the payload as a Words2 without boxing, and whether the
-// message carried exactly a Words2.
-func (e *Envelope) AsWords2() (Words2, bool) {
-	if e.kind == kindWords2 {
-		return Words2{e.a, e.b}, true
-	}
-	return Words2{}, false
-}
-
 // Received is a message delivered to a node at a round barrier. Like
-// Envelope, it stores Word/Words2 payloads inline. The ref field overlays
+// envelope, it stores Word/Words2 payloads inline. The ref field overlays
 // the two mutually-exclusive indirect cases so the struct stays as small as
 // the pre-arena layout: a boxed Payload interface (kindBoxed), or a *uint64
 // to the first payload word in the receiver's word arena (kindWords —
@@ -126,7 +72,7 @@ type Received struct {
 // kindWords the engine's receive phase copies the payload words out of the
 // sender's arena (recycled as soon as the sender resumes) into the
 // receiver's and points ref at them.
-func (e *Envelope) received() Received {
+func (e *envelope) received() Received {
 	rc := Received{From: e.From, a: e.a, b: e.b, kind: e.kind, width: e.width}
 	if e.boxed != nil {
 		rc.ref = e.boxed

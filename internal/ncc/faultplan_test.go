@@ -5,10 +5,31 @@ import (
 	"testing"
 )
 
-// planFunc adapts a function to the FaultPlan interface for tests.
+// planFunc adapts a transitions function to the FaultPlan interface for
+// tests; it drops no messages.
 type planFunc func(round int) ([]Outage, []Revival)
 
 func (f planFunc) Transitions(round int) ([]Outage, []Revival) { return f(round) }
+
+func (planFunc) DropMessage(int, NodeID, NodeID, uint64) bool { return false }
+
+// dropPlan is a message-fault FaultPlan for tests: an i.i.d. drop with
+// probability p decided from the engine's coin, then an optional keep
+// predicate (false drops the message, like a link cut). It schedules no
+// liveness transitions.
+type dropPlan struct {
+	p    float64
+	keep func(round int, from, to NodeID) bool
+}
+
+func (dropPlan) Transitions(int) ([]Outage, []Revival) { return nil, nil }
+
+func (d dropPlan) DropMessage(round int, from, to NodeID, coin uint64) bool {
+	if d.p > 0 && float64(coin>>11)*0x1.0p-53 < d.p {
+		return true
+	}
+	return d.keep != nil && !d.keep(round, from, to)
+}
 
 // TestFaultPlanKill fail-stops one node mid-run: the victim must retire with
 // no output, appear in Unfinished and DownAtEnd, and traffic addressed to it

@@ -55,6 +55,15 @@ type RoundSample struct {
 	DroppedFault      int
 	DroppedDead       int
 	DroppedToFinished int
+
+	// CrossMachine and MaxLinkWords are the round's k-machine view, metered
+	// only when Config.MachineOf partitions the nodes (zero otherwise):
+	// CrossMachine counts accepted messages whose endpoints sit on different
+	// machines, MaxLinkWords is the largest word load on one directed machine
+	// link. They are derived accounting, not engine state, so serialized
+	// traces leave them out.
+	CrossMachine int
+	MaxLinkWords int
 }
 
 // ShardTiming is one delivery shard's wall-clock timing for a round. Unlike
@@ -77,8 +86,23 @@ type ShardTiming struct {
 // (every node is parked), so implementations need no locking against the run —
 // but they delay the barrier release, so they should be cheap. The timing
 // slice is reused every round and must not be retained. A panicking probe
-// aborts the run like a panicking Observer.
+// aborts the run like a panicking FaultPlan.
 type RoundProbe func(s RoundSample, timing []ShardTiming)
+
+// Then returns a probe that calls p and then next; a nil receiver or argument
+// drops out, so callers can chain onto an optional probe.
+func (p RoundProbe) Then(next RoundProbe) RoundProbe {
+	if p == nil {
+		return next
+	}
+	if next == nil {
+		return p
+	}
+	return func(s RoundSample, timing []ShardTiming) {
+		p(s, timing)
+		next(s, timing)
+	}
+}
 
 // Timeline records the probe's per-round series — the raw material for
 // round/load plots (e.g. visualizing an algorithm's phase structure or the

@@ -47,7 +47,7 @@ func TestProbeMatchesStats(t *testing.T) {
 			ctx.EndRound()
 		}
 	}
-	samples, st := collectSamples(t, Config{N: n, Seed: 7, CapFactor: 1, DropProb: 0.1, Workers: 4}, program)
+	samples, st := collectSamples(t, Config{N: n, Seed: 7, CapFactor: 1, FaultPlan: dropPlan{p: 0.1}, Workers: 4}, program)
 	if len(samples) != st.Rounds {
 		t.Fatalf("got %d samples for %d rounds", len(samples), st.Rounds)
 	}
@@ -105,7 +105,7 @@ func TestProbeWorkerInvariance(t *testing.T) {
 		}
 	}
 	run := func(workers int) []RoundSample {
-		samples, _ := collectSamples(t, Config{N: 24, Seed: 42, CapFactor: 1, DropProb: 0.2, Workers: workers}, program)
+		samples, _ := collectSamples(t, Config{N: 24, Seed: 42, CapFactor: 1, FaultPlan: dropPlan{p: 0.2}, Workers: workers}, program)
 		return samples
 	}
 	base := run(1)
@@ -193,7 +193,7 @@ func TestProbeDownAndFinished(t *testing.T) {
 }
 
 // TestProbePanicAborts: a panicking probe aborts the run like a panicking
-// Observer, instead of crashing the process or deadlocking parked nodes.
+// FaultPlan, instead of crashing the process or deadlocking parked nodes.
 func TestProbePanicAborts(t *testing.T) {
 	cfg := Config{N: 4, Seed: 1, Probe: func(RoundSample, []ShardTiming) { panic("probe boom") }}
 	_, err := Run(cfg, func(ctx *Context) {
@@ -241,5 +241,63 @@ func TestProbeSteadyStateAllocs(t *testing.T) {
 	t.Logf("allocs with probe on: short=%v long=%v -> %.2f allocs/round", short, long, perRound)
 	if perRound > 8 {
 		t.Errorf("probing steady state allocates %.2f allocs/round, want ~0", perRound)
+	}
+}
+
+// TestProbeMachineLinks checks the k-machine link metering against a direct
+// recount of a known traffic pattern (messages of mixed widths, no drops),
+// at several worker counts: CrossMachine counts the messages between
+// different machines, MaxLinkWords the heaviest directed machine link.
+func TestProbeMachineLinks(t *testing.T) {
+	const n, machines, rounds = 20, 3, 4
+	machineOf := make([]int, n)
+	for id := range machineOf {
+		machineOf[id] = (id * 7) % machines
+	}
+	width := func(id, k int) int { return 1 + (id+k)%3 }
+	var wantCross []int
+	var wantMax []int
+	for r := 0; r < rounds; r++ {
+		cross, links := 0, map[[2]int]int{}
+		for id := 0; id < n; id++ {
+			for k := 1; k <= 1+(id+r)%3; k++ {
+				to := (id + k) % n
+				if p, q := machineOf[id], machineOf[to]; p != q {
+					cross++
+					links[[2]int{p, q}] += width(id, k)
+				}
+			}
+		}
+		worst := 0
+		for _, w := range links {
+			worst = max(worst, w)
+		}
+		wantCross = append(wantCross, cross)
+		wantMax = append(wantMax, worst)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		samples, st := collectSamples(t, Config{N: n, Seed: 1, Workers: workers, MachineOf: machineOf}, func(ctx *Context) {
+			for r := 0; r < rounds; r++ {
+				for k := 1; k <= 1+(ctx.ID()+r)%3; k++ {
+					ctx.SendWords((ctx.ID()+k)%n, make([]uint64, width(ctx.ID(), k)))
+				}
+				ctx.EndRound()
+			}
+		})
+		if st.Dropped() != 0 || len(samples) != rounds {
+			t.Fatalf("workers=%d: %d drops, %d samples; want a drop-free %d-round run", workers, st.Dropped(), len(samples), rounds)
+		}
+		for r, s := range samples {
+			if s.CrossMachine != wantCross[r] || s.MaxLinkWords != wantMax[r] {
+				t.Errorf("workers=%d round %d: cross=%d maxLink=%d, want %d/%d",
+					workers, r, s.CrossMachine, s.MaxLinkWords, wantCross[r], wantMax[r])
+			}
+		}
+	}
+}
+
+func TestMachineOfValidation(t *testing.T) {
+	if _, err := Run(Config{N: 3, MachineOf: []int{0, 1}}, func(*Context) {}); err == nil {
+		t.Error("2-entry MachineOf accepted for N=3")
 	}
 }

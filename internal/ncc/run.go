@@ -17,7 +17,7 @@ type Context struct {
 	shard int
 	r     *run
 	rng   *rand.Rand
-	out   []Envelope
+	out   []envelope
 	inbox []Received
 	round int
 
@@ -63,10 +63,7 @@ func (c *Context) Alive() bool { return c.r.down == nil || !c.r.down[c.id] }
 // link cuts, or node outages). Protocol layers use it to switch from
 // wait-forever semantics — correct on the reliable network the model
 // specifies — to bounded waits that degrade instead of hanging.
-func (c *Context) Faulty() bool {
-	cfg := &c.r.cfg
-	return cfg.FaultPlan != nil || cfg.DropProb > 0 || cfg.Interceptor != nil
-}
+func (c *Context) Faulty() bool { return c.r.cfg.FaultPlan != nil }
 
 // Pending returns the number of messages buffered for sending this round.
 func (c *Context) Pending() int { return len(c.out) }
@@ -87,19 +84,19 @@ func (c *Context) checkSend(to NodeID) {
 // a node saturating the model's send bound pays exactly one allocation per
 // run; very large sparse runs double from a small base instead, keeping
 // memory proportional to actual traffic.
-func (c *Context) growOut() []Envelope {
+func (c *Context) growOut() []envelope {
 	target := max(4, 2*cap(c.out))
 	if c.r.provisionOut {
 		target = max(target, c.r.capOf(c.id))
 	}
-	out := make([]Envelope, len(c.out), target)
+	out := make([]envelope, len(c.out), target)
 	copy(out, c.out)
 	c.out = out
 	return out
 }
 
 // pushOut appends one envelope to the outbox with the growth policy above.
-func (c *Context) pushOut(e Envelope) {
+func (c *Context) pushOut(e envelope) {
 	out := c.out
 	if len(out) == cap(out) {
 		out = c.growOut()
@@ -125,12 +122,12 @@ func (c *Context) Send(to NodeID, p Payload) {
 	}
 	switch v := p.(type) {
 	case Word:
-		c.pushOut(Envelope{From: c.id, To: to, a: uint64(v), kind: kindWord})
+		c.pushOut(envelope{From: c.id, To: to, a: uint64(v), kind: kindWord})
 	case Words2:
 		if c.r.cfg.MaxWords < 2 {
 			c.panicOversized(2, p)
 		}
-		c.pushOut(Envelope{From: c.id, To: to, a: v[0], b: v[1], kind: kindWords2})
+		c.pushOut(envelope{From: c.id, To: to, a: v[0], b: v[1], kind: kindWords2})
 	case WordsN:
 		c.SendWords(to, v)
 	default:
@@ -138,7 +135,7 @@ func (c *Context) Send(to NodeID, p Payload) {
 		if w > c.r.cfg.MaxWords {
 			c.panicOversized(w, p)
 		}
-		c.pushOut(Envelope{From: c.id, To: to, boxed: p, kind: kindBoxed, width: int32(w)})
+		c.pushOut(envelope{From: c.id, To: to, boxed: p, kind: kindBoxed, width: int32(w)})
 	}
 }
 
@@ -147,7 +144,7 @@ func (c *Context) Send(to NodeID, p Payload) {
 // so nothing escapes to the heap.
 func (c *Context) SendWord(to NodeID, w Word) {
 	c.checkSend(to)
-	c.pushOut(Envelope{From: c.id, To: to, a: uint64(w), kind: kindWord})
+	c.pushOut(envelope{From: c.id, To: to, a: uint64(w), kind: kindWord})
 }
 
 // SendWords2 buffers a two-word message without boxing; see SendWord.
@@ -156,7 +153,7 @@ func (c *Context) SendWords2(to NodeID, w Words2) {
 	if c.r.cfg.MaxWords < 2 {
 		c.panicOversized(2, w)
 	}
-	c.pushOut(Envelope{From: c.id, To: to, a: w[0], b: w[1], kind: kindWords2})
+	c.pushOut(envelope{From: c.id, To: to, a: w[0], b: w[1], kind: kindWords2})
 }
 
 // SendWords buffers a message of len(ws) words without boxing: one- and
@@ -173,17 +170,17 @@ func (c *Context) SendWords(to NodeID, ws []uint64) {
 	case n > c.r.cfg.MaxWords:
 		c.panicOversized(n, WordsN(ws))
 	case n == 1:
-		c.pushOut(Envelope{From: c.id, To: to, a: ws[0], kind: kindWord})
+		c.pushOut(envelope{From: c.id, To: to, a: ws[0], kind: kindWord})
 	case n == 2:
-		c.pushOut(Envelope{From: c.id, To: to, a: ws[0], b: ws[1], kind: kindWords2})
+		c.pushOut(envelope{From: c.id, To: to, a: ws[0], b: ws[1], kind: kindWords2})
 	default:
 		// The words go into the node's arena; the envelope carries only the
 		// arena offset (offsets survive arena growth, unlike pointers), so
-		// multi-word traffic never widens the Envelope struct every message
+		// multi-word traffic never widens the envelope struct every message
 		// is copied through.
 		off := len(c.sendWords)
 		c.sendWords = append(c.sendWords, ws...)
-		c.pushOut(Envelope{From: c.id, To: to, a: uint64(off), kind: kindWords, width: int32(n)})
+		c.pushOut(envelope{From: c.id, To: to, a: uint64(off), kind: kindWords, width: int32(n)})
 	}
 }
 
@@ -191,7 +188,7 @@ func (c *Context) SendWords(to NodeID, ws []uint64) {
 // arena. Only valid during delivery, while every sender is parked at the
 // round barrier (the barrier's release edge orders the arena writes before
 // the delivery phases read them).
-func (r *run) payloadWords(e *Envelope) []uint64 {
+func (r *run) payloadWords(e *envelope) []uint64 {
 	return r.nodes[e.From].sendWords[e.a : e.a+uint64(e.width)]
 }
 
@@ -295,11 +292,11 @@ type run struct {
 	// Scratch, reused across rounds. buckets[i][j] holds the envelopes sent
 	// by sender shard i to receiver shard j this round; recvCounts[v] is
 	// receiver v's offered-message count, computed so inboxes are filled
-	// directly without a staging copy; shardStats and obsShards are the
+	// directly without a staging copy; shardStats and links are the
 	// per-worker partial results merged by the coordinator. sendFn/recvFn
 	// are the two phase method values, bound once so delivery allocates no
 	// closures per round.
-	buckets        [][][]Envelope
+	buckets        [][][]envelope
 	recvCounts     []int32
 	recvWordCounts []int32
 	// peakSend/peakRecv record each node's highest post-truncation round load
@@ -310,8 +307,6 @@ type run struct {
 	peakSend   []int32
 	peakRecv   []int32
 	shardStats []Stats
-	obsShards  [][]Envelope
-	obsBuf     []Envelope
 	sendFn     func(int)
 	recvFn     func(int)
 
@@ -341,6 +336,20 @@ type run struct {
 	probeSend    []int64
 	probeRecv    []int64
 	timing       []ShardTiming
+
+	// Machine-link accounting, allocated only when probing with
+	// cfg.MachineOf set: links[i] is sender shard i's tally for the round,
+	// linkTotal the coordinator's merge of them (see probeRound).
+	links     []linkLoad
+	linkTotal map[[2]int]int
+}
+
+// linkLoad is one sender shard's k-machine tally for a round: the accepted
+// messages that cross machines, and the words put on each directed machine
+// link (keyed by sender machine, receiver machine).
+type linkLoad struct {
+	cross int
+	words map[[2]int]int
 }
 
 // Run executes program on every node of a fresh network and returns the run
@@ -372,14 +381,13 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 	// them eagerly only while that stays within a modest budget (~64 MiB),
 	// so sparse million-node runs keep memory proportional to traffic.
 	r.provisionOut = int64(cfg.N)*int64(r.cap) <= (64<<20)/int64(envelopeBytes)
-	r.buckets = make([][][]Envelope, w)
+	r.buckets = make([][][]envelope, w)
 	for i := range r.buckets {
-		r.buckets[i] = make([][]Envelope, w)
+		r.buckets[i] = make([][]envelope, w)
 	}
 	r.recvCounts = make([]int32, cfg.N)
 	r.recvWordCounts = make([]int32, cfg.N)
 	r.shardStats = make([]Stats, w)
-	r.obsShards = make([][]Envelope, w)
 	r.finished = make([]bool, cfg.N)
 	if cfg.FaultPlan != nil {
 		r.down = make([]bool, cfg.N)
@@ -395,6 +403,13 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.probeSend = make([]int64, w)
 		r.probeRecv = make([]int64, w)
 		r.timing = make([]ShardTiming, w)
+		if cfg.MachineOf != nil {
+			r.links = make([]linkLoad, w)
+			for i := range r.links {
+				r.links[i].words = map[[2]int]int{}
+			}
+			r.linkTotal = map[[2]int]int{}
+		}
 	}
 	if w > 1 {
 		r.pool = newWorkerPool(w)
@@ -498,9 +513,6 @@ func Run(cfg Config, program func(*Context)) (Stats, error) {
 		r.stats.CapUtilP90 = pct(0.90)
 		r.stats.CapUtilMax = pct(1)
 	}
-	processMessages.Add(r.stats.Messages)
-	processWords.Add(r.stats.Words)
-	processRounds.Add(int64(r.stats.Rounds))
 	return r.stats, r.err
 }
 
@@ -676,10 +688,6 @@ const (
 	saltRevive = 0x94d049bb133111eb
 )
 
-func pcgFloat64(p *rand.PCG) float64 {
-	return float64(p.Uint64()>>11) * 0x1.0p-53
-}
-
 // pcgIntN returns a uniform int in [0, n) by rejection sampling.
 func pcgIntN(p *rand.PCG, n int) int {
 	bound := math.MaxUint64 - math.MaxUint64%uint64(n)
@@ -691,11 +699,11 @@ func pcgIntN(p *rand.PCG, n int) int {
 }
 
 // sendPhase (phase A) filters sender shard i's outboxes (send-capacity
-// truncation, finished/fault/interceptor drops) into per-receiver-shard
-// buckets, preserving ascending sender-id order within each bucket.
+// truncation, finished/outage/fault-plan drops) into per-receiver-shard
+// buckets, preserving ascending sender-id order within each bucket, and
+// tallies the accepted traffic per machine link when accounting.
 func (r *run) sendPhase(i int) {
 	round := r.stats.Rounds
-	observing := r.cfg.Observer != nil
 	probing := r.probing
 	var t0 time.Time
 	if probing {
@@ -707,10 +715,14 @@ func (r *run) sendPhase(i int) {
 	for j := range buckets {
 		buckets[j] = buckets[j][:0]
 	}
-	if observing {
-		r.obsShards[i] = r.obsShards[i][:0]
+	var links map[[2]int]int // non-nil while metering machine links
+	if r.links != nil {
+		links = r.links[i].words
+		clear(links)
 	}
-	faulty := r.down != nil
+	cross := 0
+	plan := r.cfg.FaultPlan
+	faulty := plan != nil
 	lo, hi := r.shardRange(i)
 	for id := lo; id < hi; id++ {
 		if r.finished[id] {
@@ -740,7 +752,7 @@ func (r *run) sendPhase(i int) {
 			r.peakSend[id] = int32(len(out))
 		}
 		var frng rand.PCG
-		if r.cfg.DropProb > 0 {
+		if faulty {
 			frng = roundPCG(r.cfg.Seed, round, id, saltFault)
 		}
 		for k := range out {
@@ -753,33 +765,26 @@ func (r *run) sendPhase(i int) {
 				st.DroppedDead++
 				continue
 			}
-			if r.cfg.DropProb > 0 && pcgFloat64(&frng) < r.cfg.DropProb {
+			if faulty && plan.DropMessage(round, e.From, e.To, frng.Uint64()) {
 				st.DroppedFault++
 				continue
 			}
-			if r.cfg.Interceptor != nil && !r.cfg.Interceptor(round, e.From, e.To) {
-				st.DroppedFault++
-				continue
-			}
+			w := e.Words()
 			st.Messages++
-			st.Words += int64(e.Words())
+			st.Words += int64(w)
 			j := r.shardOf(e.To)
 			buckets[j] = pushEnvelope(buckets[j], e)
-			if observing {
-				if e.kind == kindWords {
-					// Observers may read Payload() and hold it past this
-					// round; box a copy of the arena words for them. This
-					// allocates, but only with an Observer attached.
-					oe := *e
-					oe.boxed = WordsN(append([]uint64(nil), r.payloadWords(e)...))
-					oe.kind = kindBoxed
-					r.obsShards[i] = pushEnvelope(r.obsShards[i], &oe)
-				} else {
-					r.obsShards[i] = pushEnvelope(r.obsShards[i], e)
+			if links != nil {
+				if p, q := r.cfg.MachineOf[e.From], r.cfg.MachineOf[e.To]; p != q {
+					cross++
+					links[[2]int{p, q}] += w
 				}
 			}
 		}
 		ctx.out = ctx.out[:0]
+	}
+	if links != nil {
+		r.links[i].cross = cross
 	}
 	if probing {
 		r.probeSend[i] = int64(time.Since(t0))
@@ -914,7 +919,7 @@ func (r *run) recvPhase(j int) {
 // its inbox for the round just completed. Work is partitioned over r.workers
 // shards: senders are sharded for capacity/fault filtering, receivers for
 // grouping, overload truncation, and inbox fill. Returns false if the round
-// was aborted by a worker panic (user Interceptor, Observer, or Payload
+// was aborted by a panic in user code (FaultPlan, Probe, or Payload
 // callback).
 func (r *run) deliverRound() bool {
 	if err := r.runShards(r.sendFn); err != nil {
@@ -930,20 +935,6 @@ func (r *run) deliverRound() bool {
 			r.roundMaxSend = max(r.roundMaxSend, r.shardStats[i].MaxSendLoad)
 		}
 	}
-
-	if r.cfg.Observer != nil {
-		// Concatenating the shard buffers in shard order reproduces the
-		// global ascending sender-id order of the serial engine.
-		r.obsBuf = r.obsBuf[:0]
-		for _, s := range r.obsShards {
-			r.obsBuf = append(r.obsBuf, s...)
-		}
-		if err := r.observeRound(r.stats.Rounds); err != nil {
-			r.fail(err)
-			return false
-		}
-	}
-
 	if err := r.runShards(r.recvFn); err != nil {
 		r.fail(err)
 		return false
@@ -963,7 +954,7 @@ func (r *run) deliverRound() bool {
 // probeRound assembles the just-completed round's RoundSample from the
 // cumulative-stats deltas and the per-shard scratch (which still holds phase-B
 // values here) and hands it to Config.Probe, with the same panic recovery as
-// Observer callbacks. Runs on the coordinator goroutine while every node is
+// the delivery phases. Runs on the coordinator goroutine while every node is
 // parked.
 func (r *run) probeRound() (err error) {
 	defer recoverDeliveryPanic(&err)
@@ -988,6 +979,21 @@ func (r *run) probeRound() (err error) {
 		s.MaxRecvDelivered = max(s.MaxRecvDelivered, p.MaxRecvDelivered)
 		s.Active += int(r.shardActive[i])
 	}
+	if r.links != nil {
+		// A machine link's load is split over the sender shards whose nodes
+		// sit on its source machine, so the per-shard tallies are summed
+		// before taking the maximum.
+		clear(r.linkTotal)
+		for i := range r.links {
+			s.CrossMachine += r.links[i].cross
+			for l, w := range r.links[i].words {
+				r.linkTotal[l] += w
+			}
+		}
+		for _, w := range r.linkTotal {
+			s.MaxLinkWords = max(s.MaxLinkWords, w)
+		}
+	}
 	for i := range r.timing {
 		t := &r.timing[i]
 		t.SendNanos = r.probeSend[i]
@@ -1006,21 +1012,14 @@ func (r *run) probeRound() (err error) {
 	return nil
 }
 
-// recoverDeliveryPanic converts a panic in user callback code (Interceptor,
-// Observer, Payload.Words) run during round delivery into an error via the
+// recoverDeliveryPanic converts a panic in user callback code (FaultPlan,
+// Probe, Payload.Words) run during round delivery into an error via the
 // named return, so the run aborts cleanly instead of crashing the process or
 // deadlocking the node goroutines.
 func recoverDeliveryPanic(err *error) {
 	if v := recover(); v != nil {
 		*err = fmt.Errorf("ncc: round delivery panicked: %v\n%s", v, debug.Stack())
 	}
-}
-
-// observeRound invokes the user Observer with delivery-panic recovery.
-func (r *run) observeRound(round int) (err error) {
-	defer recoverDeliveryPanic(&err)
-	r.cfg.Observer.ObserveRound(round, r.obsBuf)
-	return nil
 }
 
 func (r *run) mergeShardStats() {
@@ -1057,9 +1056,9 @@ func sortReceivedByFrom(msgs []Received) {
 // pushEnvelope appends with exact-doubling growth. The built-in append grows
 // large slices by only 1.25x, which costs ~5x the final size in cumulative
 // allocation while a round's buckets warm up; doubling caps that at 2x.
-func pushEnvelope(s []Envelope, e *Envelope) []Envelope {
+func pushEnvelope(s []envelope, e *envelope) []envelope {
 	if len(s) == cap(s) {
-		ns := make([]Envelope, len(s), max(16, 2*cap(s)))
+		ns := make([]envelope, len(s), max(16, 2*cap(s)))
 		copy(ns, s)
 		s = ns
 	}
@@ -1070,7 +1069,7 @@ func pushEnvelope(s []Envelope, e *Envelope) []Envelope {
 
 // runShards executes fn(i) for every shard 0..workers-1, inline when the run
 // is serial and on the worker pool otherwise. A panic inside fn (user
-// Interceptor, Observer, or Payload code) is returned as an error instead of
+// FaultPlan or Payload code) is returned as an error instead of
 // crashing the process.
 func (r *run) runShards(fn func(int)) (err error) {
 	if r.pool == nil {

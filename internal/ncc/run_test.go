@@ -207,6 +207,11 @@ func TestMaxRounds(t *testing.T) {
 	if !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("want ErrMaxRounds, got %v", err)
 	}
+	// A negative bound is a config error, not a zero-round run.
+	cfg.MaxRounds = -3
+	if _, err := Run(cfg, func(*Context) {}); err == nil || !strings.Contains(err.Error(), "MaxRounds = -3") {
+		t.Fatalf("MaxRounds=-3: err = %v, want a config error", err)
+	}
 }
 
 func TestSelfSendPanics(t *testing.T) {
@@ -266,27 +271,8 @@ func TestCollect(t *testing.T) {
 	}
 }
 
-type countObserver struct{ msgs int }
-
-func (o *countObserver) ObserveRound(round int, msgs []Envelope) { o.msgs += len(msgs) }
-
-func TestObserver(t *testing.T) {
-	obs := &countObserver{}
-	cfg := Config{N: 4, Seed: 1, Observer: obs}
-	st, err := Run(cfg, func(ctx *Context) {
-		ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
-		ctx.EndRound()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(obs.msgs) != st.Messages {
-		t.Errorf("observer saw %d messages, stats say %d", obs.msgs, st.Messages)
-	}
-}
-
-func TestDropProbOne(t *testing.T) {
-	cfg := Config{N: 4, Seed: 1, DropProb: 1}
+func TestFaultPlanDropAll(t *testing.T) {
+	cfg := Config{N: 4, Seed: 1, FaultPlan: dropPlan{p: 1}}
 	var deliveredAny bool
 	_, err := Run(cfg, func(ctx *Context) {
 		ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
@@ -298,14 +284,14 @@ func TestDropProbOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	if deliveredAny {
-		t.Error("DropProb=1 still delivered messages")
+		t.Error("drop probability 1 still delivered messages")
 	}
 }
 
-func TestInterceptor(t *testing.T) {
-	cfg := Config{N: 4, Seed: 1, Interceptor: func(round int, from, to NodeID) bool {
+func TestFaultPlanLinkCut(t *testing.T) {
+	cfg := Config{N: 4, Seed: 1, FaultPlan: dropPlan{keep: func(round int, from, to NodeID) bool {
 		return to != 2 // kill everything addressed to node 2
-	}}
+	}}}
 	counts := make([]int, 4)
 	_, err := Run(cfg, func(ctx *Context) {
 		for to := 0; to < ctx.N(); to++ {
@@ -319,7 +305,7 @@ func TestInterceptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if counts[2] != 0 {
-		t.Errorf("node 2 received %d messages despite interceptor", counts[2])
+		t.Errorf("node 2 received %d messages despite the cut", counts[2])
 	}
 	if counts[1] != 3 {
 		t.Errorf("node 1 received %d messages, want 3", counts[1])

@@ -19,10 +19,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 		sum []uint64
 	}
 	runWith := func(workers int, dropProb float64) digest {
-		cfg := Config{N: n, Seed: 12345, CapFactor: 2, Workers: workers, DropProb: dropProb,
-			Interceptor: func(round int, from, to NodeID) bool {
+		cfg := Config{N: n, Seed: 12345, CapFactor: 2, Workers: workers,
+			FaultPlan: dropPlan{p: dropProb, keep: func(round int, from, to NodeID) bool {
 				return (round+from+to)%17 != 0 // deterministic targeted faults
-			}}
+			}}}
 		sums := make([]uint64, n)
 		st, err := Run(cfg, func(ctx *Context) {
 			me := ctx.ID()
@@ -127,41 +127,18 @@ func TestParallelWorkersDeliverOrdered(t *testing.T) {
 	}
 }
 
-type panickyObserver struct{}
-
-func (panickyObserver) ObserveRound(round int, msgs []Envelope) {
-	if round == 2 {
-		panic("observer boom")
-	}
-}
-
-// TestObserverPanicSurfaces checks that a panic inside a user Observer aborts
-// the run with an error instead of escaping the coordinator and leaving every
-// node goroutine blocked at the barrier.
-func TestObserverPanicSurfaces(t *testing.T) {
-	_, err := Run(Config{N: 8, Seed: 1, Observer: panickyObserver{}}, func(ctx *Context) {
-		for r := 0; r < 10; r++ {
-			ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
-			ctx.EndRound()
-		}
-	})
-	if err == nil {
-		t.Fatal("observer panic not surfaced")
-	}
-}
-
-// TestInterceptorPanicSurfaces checks that a panic inside user callback code
-// running on a delivery worker aborts the run with an error instead of
-// crashing the process.
-func TestInterceptorPanicSurfaces(t *testing.T) {
+// TestFaultPlanPanicSurfaces checks that a panic inside user callback code
+// running on a delivery worker (here FaultPlan.DropMessage) aborts the run
+// with an error instead of crashing the process.
+func TestFaultPlanPanicSurfaces(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := Config{N: 8, Seed: 1, Workers: workers,
-			Interceptor: func(round int, from, to NodeID) bool {
+			FaultPlan: dropPlan{keep: func(round int, from, to NodeID) bool {
 				if round == 2 {
-					panic("interceptor boom")
+					panic("fault plan boom")
 				}
 				return true
-			}}
+			}}}
 		_, err := Run(cfg, func(ctx *Context) {
 			for r := 0; r < 10; r++ {
 				ctx.Send((ctx.ID()+1)%ctx.N(), Word(0))
@@ -169,7 +146,7 @@ func TestInterceptorPanicSurfaces(t *testing.T) {
 			}
 		})
 		if err == nil {
-			t.Fatalf("workers=%d: interceptor panic not surfaced", workers)
+			t.Fatalf("workers=%d: fault plan panic not surfaced", workers)
 		}
 	}
 }

@@ -130,7 +130,7 @@ type Sweep struct {
 // clique's messages are additionally routed over a complete network of K
 // machines with Bandwidth words per directed link per k-machine round, and
 // the Record reports how many k-machine rounds the algorithm's traffic would
-// have cost. Accounting is an observer — it never changes the run itself, but
+// have cost. Accounting is a probe — it never changes the run itself, but
 // it is part of the declarative spec (and the canonical hash), because the
 // Record it produces differs.
 type KMachine struct {
@@ -232,6 +232,19 @@ func (s Scenario) Validate() error {
 		}
 	} else if s.Graph.File != "" {
 		return fmt.Errorf("graph.file: only valid for the file family (family %s generates its graph)", s.Graph.Family)
+	}
+	for _, m := range []struct {
+		field string
+		v     int
+	}{
+		{"capfactor", s.Model.CapFactor},
+		{"maxwords", s.Model.MaxWords},
+		{"maxrounds", s.Model.MaxRounds},
+		{"workers", s.Model.Workers},
+	} {
+		if m.v < 0 {
+			return fmt.Errorf("model.%s = %d, need >= 0 (0 means the engine default)", m.field, m.v)
+		}
 	}
 	if km := s.KMachine; km != nil {
 		if km.K < 1 {
@@ -355,14 +368,13 @@ func (m Model) config(n int) ncc.Config {
 
 // RunOpts carries per-run hooks that are not part of the declarative spec
 // and therefore never appear in the Record's scenario echo or the canonical
-// hash: an Observer, a cancellation channel wired into the engine's abort
-// path, and a worker-count override (the service's scheduler hands each run
-// however many workers its global budget can spare; results are bit-identical
-// across worker counts, so the override is invisible in the Record).
+// hash: a cancellation channel wired into the engine's abort path, a
+// worker-count override (the service's scheduler hands each run however many
+// workers its global budget can spare; results are bit-identical across
+// worker counts, so the override is invisible in the Record), and a probe.
 type RunOpts struct {
-	Observer ncc.Observer
-	Cancel   <-chan struct{}
-	Workers  int
+	Cancel  <-chan struct{}
+	Workers int
 
 	// Probe, if non-nil, receives the engine's per-round telemetry samples
 	// (see ncc.RoundProbe). Like the other hooks it never enters the
@@ -371,12 +383,11 @@ type RunOpts struct {
 	Probe ncc.RoundProbe
 }
 
-// RunOne executes one concrete (sweep-free) scenario. obs, if non-nil, is
-// attached as the run's round observer (e.g. a *ncc.Timeline). The returned
-// error covers spec and simulation failures; verification failures are
-// recorded in the Record only.
-func RunOne(s Scenario, obs ncc.Observer) (Record, error) {
-	return RunOneWith(s, RunOpts{Observer: obs})
+// RunOne executes one concrete (sweep-free) scenario. The returned error
+// covers spec and simulation failures; verification failures are recorded in
+// the Record only.
+func RunOne(s Scenario) (Record, error) {
+	return RunOneWith(s, RunOpts{})
 }
 
 // RunOneWith is RunOne with the full set of per-run hooks.
@@ -396,7 +407,6 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 	deg, _ := graph.Degeneracy(g)
 	rec.Graph = GraphInfo{Desc: g.String(), N: g.N(), M: g.M(), MaxDegree: g.MaxDegree(), Degeneracy: deg}
 	cfg := s.Model.config(g.N())
-	cfg.Observer = opts.Observer
 	cfg.Probe = opts.Probe
 	cfg.Cancel = opts.Cancel
 	if opts.Workers != 0 {
@@ -417,8 +427,6 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 		if err != nil {
 			return rec, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		cfg.DropProb = plan.DropProb
-		cfg.Interceptor = plan.Interceptor
 		cfg.FaultPlan = plan
 	}
 	var acct *kmachine.Accountant
@@ -431,7 +439,7 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 		if err != nil {
 			return rec, err
 		}
-		cfg.Observer = chainObservers(acct, opts.Observer)
+		acct.Attach(&cfg)
 	}
 	rec.Capacity = cfg.Cap()
 	res, err := d.Execute(cfg, g, s.Params)
@@ -461,15 +469,7 @@ func RunOneWith(s Scenario, opts RunOpts) (Record, error) {
 // set. One collector threaded through a sweep yields the sweep's whole trace
 // in expansion order.
 func RunTraced(c Scenario, col *obs.Collector, opts RunOpts) (Record, error) {
-	cp := col.Probe()
-	if p := opts.Probe; p != nil {
-		opts.Probe = func(s ncc.RoundSample, t []ncc.ShardTiming) {
-			cp(s, t)
-			p(s, t)
-		}
-	} else {
-		opts.Probe = cp
-	}
+	opts.Probe = col.Probe().Then(opts.Probe)
 	rec, err := RunOneWith(c, opts)
 	if rec.Capacity > 0 {
 		hash, _ := c.Hash() // unhashable scenarios leave the field empty
@@ -485,31 +485,13 @@ func RunTraced(c Scenario, col *obs.Collector, opts RunOpts) (Record, error) {
 	return rec, err
 }
 
-// multiObserver fans one engine round out to several observers in order.
-type multiObserver []ncc.Observer
-
-func (m multiObserver) ObserveRound(round int, msgs []ncc.Envelope) {
-	for _, o := range m {
-		o.ObserveRound(round, msgs)
-	}
-}
-
-// chainObservers combines the k-machine accountant with an optional caller
-// observer without boxing nils into the interface.
-func chainObservers(a ncc.Observer, b ncc.Observer) ncc.Observer {
-	if b == nil {
-		return a
-	}
-	return multiObserver{a, b}
-}
-
 // Run expands and executes a scenario. Individual run failures do not abort
 // the sweep; they are recorded in the Record's Error field so a sweep
 // artifact always has one entry per expanded scenario.
 func Run(s Scenario) []Record {
 	var out []Record
 	for _, c := range s.Expand() {
-		rec, err := RunOne(c, nil)
+		rec, err := RunOne(c)
 		if err != nil {
 			rec.Error = err.Error()
 		}

@@ -23,7 +23,7 @@ func misScenario() Scenario {
 }
 
 func TestRunOneProducesVerifiedRecord(t *testing.T) {
-	rec, err := RunOne(misScenario(), nil)
+	rec, err := RunOne(misScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,46 +188,52 @@ func TestFaultInjectionIsRecordedNotFatal(t *testing.T) {
 	}
 }
 
+// TestInterceptorFaults checks that the legacy dropto/fromround knobs compile
+// to a link cut in the fault plan's per-message decision.
 func TestInterceptorFaults(t *testing.T) {
 	f := &Faults{DropTo: []int{0}, FromRound: 5}
 	plan, err := faultmodel.Build(f.specs(), faultmodel.Env{N: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ic := plan.Interceptor
-	if ic == nil {
-		t.Fatal("no interceptor compiled")
-	}
-	if !ic(4, 1, 0) {
+	if plan.DropMessage(4, 1, 0, 0) {
 		t.Error("dropped before FromRound")
 	}
-	if ic(5, 1, 0) {
+	if !plan.DropMessage(5, 1, 0, 0) {
 		t.Error("kept a message to a dead node")
 	}
-	if !ic(5, 1, 2) {
+	if plan.DropMessage(5, 1, 2, 0) {
 		t.Error("dropped an unrelated message")
 	}
 }
 
 func TestFaultValidationFieldPaths(t *testing.T) {
 	cases := []struct {
-		name string
-		f    Faults
-		want string
+		name  string
+		f     Faults
+		model Model
+		want  string
 	}{
-		{"negative fromround", Faults{FromRound: -1}, "faults.fromround = -1"},
-		{"dropprob range", Faults{DropProb: 1.5}, "faults.dropprob = 1.5"},
-		{"dropto bound", Faults{DropTo: []int{24}}, "faults.dropto[0] = 24 out of [0,24)"},
-		{"dropfrom bound", Faults{DropFrom: []int{-1}}, "faults.dropfrom[0] = -1"},
-		{"unknown model", Faults{Models: []faultmodel.Spec{{Model: "meteor"}}}, `faults.models[0]: model: unknown fault model "meteor"`},
-		{"links on non-link model", Faults{Models: []faultmodel.Spec{{Model: "crash", To: []int{1}}}}, "faults.models[0]: model crash takes no to/from link sets"},
-		{"link set bound", Faults{Models: []faultmodel.Spec{{Model: "link-cut", To: []int{30}}}}, "faults.models[0]: to[0] = 30 out of [0,24)"},
-		{"bad model param", Faults{Models: []faultmodel.Spec{{Model: "crash", Params: param.Values{"rounds": 3}}}}, "faults.models[0]: params:"},
+		{"negative fromround", Faults{FromRound: -1}, Model{}, "faults.fromround = -1"},
+		{"dropprob range", Faults{DropProb: 1.5}, Model{}, "faults.dropprob = 1.5"},
+		{"dropto bound", Faults{DropTo: []int{24}}, Model{}, "faults.dropto[0] = 24 out of [0,24)"},
+		{"dropfrom bound", Faults{DropFrom: []int{-1}}, Model{}, "faults.dropfrom[0] = -1"},
+		{"unknown model", Faults{Models: []faultmodel.Spec{{Model: "meteor"}}}, Model{}, `faults.models[0]: model: unknown fault model "meteor"`},
+		{"links on non-link model", Faults{Models: []faultmodel.Spec{{Model: "crash", To: []int{1}}}}, Model{}, "faults.models[0]: model crash takes no to/from link sets"},
+		{"link set bound", Faults{Models: []faultmodel.Spec{{Model: "link-cut", To: []int{30}}}}, Model{}, "faults.models[0]: to[0] = 30 out of [0,24)"},
+		{"bad model param", Faults{Models: []faultmodel.Spec{{Model: "crash", Params: param.Values{"rounds": 3}}}}, Model{}, "faults.models[0]: params:"},
+		// A faulted run with a negative round bound used to run zero rounds
+		// and exit cleanly; every negative model knob is a spec error.
+		{"negative maxrounds", Faults{DropProb: 0.1}, Model{MaxRounds: -3}, "model.maxrounds = -3"},
+		{"negative capfactor", Faults{}, Model{CapFactor: -1}, "model.capfactor = -1"},
+		{"negative maxwords", Faults{}, Model{MaxWords: -2}, "model.maxwords = -2"},
+		{"negative workers", Faults{}, Model{Workers: -4}, "model.workers = -4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := misScenario()
 			s.Faults = &tc.f
+			s.Model = tc.model
 			err := s.Validate()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.want)
@@ -278,7 +284,7 @@ func TestCrashScenarioRecordsDegradation(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RunOne(s, nil)
+	rec, err := RunOne(s)
 	if err != nil {
 		t.Fatalf("crashed run failed hard: %v", err)
 	}

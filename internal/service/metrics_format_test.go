@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ncc/internal/ncc"
 	"ncc/internal/service"
 )
 
@@ -210,9 +213,31 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 
 	info := submit(t, ts.URL, sweepJSON)
 	waitState(t, ts.URL, info.ID, service.StateDone, 60*time.Second)
-	fetch(t, ts.URL+"/v1/jobs/"+info.ID+"/records")
+	records := fetch(t, ts.URL+"/v1/jobs/"+info.ID+"/records")
 	fetch(t, ts.URL+"/v1/jobs/"+info.ID+"/trace")
 	after := scrape()
+
+	// The engine counters are fed by the executed runs' round probes, so on a
+	// fresh server they equal the executed records' Stats totals exactly.
+	var rounds, msgs, words float64
+	for _, line := range bytes.Split(bytes.TrimSpace(records), []byte("\n")) {
+		var rec struct{ Stats ncc.Stats }
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("record %q: %v", line, err)
+		}
+		rounds += float64(rec.Stats.Rounds)
+		msgs += float64(rec.Stats.Messages)
+		words += float64(rec.Stats.Words)
+	}
+	for name, want := range map[string]float64{
+		"nccd_engine_rounds_total":   rounds,
+		"nccd_engine_messages_total": msgs,
+		"nccd_engine_words_total":    words,
+	} {
+		if got := after[name].samples[0].value; got != want || want == 0 {
+			t.Errorf("%s = %g, want the executed records' total %g (> 0)", name, got, want)
+		}
+	}
 
 	for _, name := range []string{
 		"nccd_jobs_submitted_total", "nccd_jobs_done_total",
